@@ -21,6 +21,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -96,6 +97,65 @@ BM_CrossbarVmmFast(benchmark::State& state)
     }
 }
 BENCHMARK(BM_CrossbarVmmFast)->Arg(64)->Arg(256);
+
+/**
+ * Values spread over the converter's input range (and a little past its
+ * rails), so every code and both clamps are exercised.
+ */
+std::vector<float>
+converterInputs(std::size_t n, float half_range, std::uint64_t seed)
+{
+    std::vector<float> v(n);
+    Rng rng(seed);
+    for (float& x : v)
+        x = static_cast<float>(rng.uniform(-1.1, 1.1)) * half_range;
+    return v;
+}
+
+/** Counter reporting seconds per conversion over n conversions a call. */
+benchmark::Counter
+perConversion(std::size_t n)
+{
+    return benchmark::Counter(
+        static_cast<double>(n),
+        benchmark::Counter::kIsIterationInvariantRate
+            | benchmark::Counter::kInvert);
+}
+
+/** Non-ideal ADC block kernel over one tile output row (Arg = width). */
+void
+BM_AdcConvertBlock(benchmark::State& state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const crossbar::AdcModel adc(crossbar::AdcConfig{}, 8, 4.0);
+    const std::vector<float> src = converterInputs(n, 4.0f, 9);
+    std::vector<float> ys(n);
+    Rng rng(10);
+    for (auto _ : state) {
+        std::copy(src.begin(), src.end(), ys.begin());
+        adc.convertBlock(ys.data(), n, rng);
+        benchmark::DoNotOptimize(ys.data());
+    }
+    state.counters["s_per_conv"] = perConversion(n);
+}
+BENCHMARK(BM_AdcConvertBlock)->Arg(64);
+
+/** Non-ideal DAC block kernel over one tile input row (Arg = width). */
+void
+BM_DacConvertBlock(benchmark::State& state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const crossbar::DacModel dac(crossbar::DacConfig{}, 11, 0.5);
+    const std::vector<float> src = converterInputs(n, 1.0f, 12);
+    std::vector<float> xs(n);
+    for (auto _ : state) {
+        std::copy(src.begin(), src.end(), xs.begin());
+        dac.convertBlock(xs.data(), n);
+        benchmark::DoNotOptimize(xs.data());
+    }
+    state.counters["s_per_conv"] = perConversion(n);
+}
+BENCHMARK(BM_DacConvertBlock)->Arg(64);
 
 /**
  * Batched multi-lane VMM per (batch size, SIMD level): the scalar-vs-AVX2

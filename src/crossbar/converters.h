@@ -6,11 +6,17 @@
  * Each converter *instance* draws its static error profile (INL curve,
  * gain, offset) from a seeded RNG at construction, modeling die-to-die
  * variation; per-conversion noise is drawn at use time.
+ *
+ * Both converters work on blocks: convertBlock() converts a whole tile
+ * input or output row in one call, with the instance's parameters loaded
+ * once. The one-element convert() calls are thin wrappers around it, so
+ * every caller shares one implementation and one noise stream.
  */
 
 #ifndef SWORDFISH_CROSSBAR_CONVERTERS_H
 #define SWORDFISH_CROSSBAR_CONVERTERS_H
 
+#include <cstddef>
 #include <vector>
 
 #include "crossbar/device.h"
@@ -40,18 +46,27 @@ class DacModel
     DacModel(const DacConfig& config, std::uint64_t seed,
              double line_load_factor, bool ideal = false);
 
-    /** Convert one normalized input to the delivered line voltage. */
-    float convert(float x) const;
+    /**
+     * Convert n normalized inputs in place to delivered line voltages:
+     * clip to [-1, 1], round to the nearest code (ties away from zero),
+     * add the code's INL, apply the droop. No-op when ideal.
+     */
+    void convertBlock(float* xs, std::size_t n) const;
 
-    /** Convert a whole vector in place. */
-    void
-    convert(std::vector<float>& xs) const
+    /** Convert one normalized input to the delivered line voltage. */
+    float
+    convert(float x) const
     {
-        for (float& x : xs)
-            x = convert(x);
+        convertBlock(&x, 1);
+        return x;
     }
 
     bool isIdeal() const { return ideal_; }
+    float step() const { return step_; }
+    /** Per-code INL offsets in value units (empty when ideal). */
+    const std::vector<float>& inl() const { return inl_; }
+    /** Multiplier the R_load droop applies to every delivered voltage. */
+    float droopFactor() const { return static_cast<float>(1.0 - droopGain_); }
 
   private:
     DacConfig config_;
@@ -79,19 +94,29 @@ class AdcModel
     AdcModel(const AdcConfig& config, std::uint64_t seed, double range,
              bool ideal = false);
 
-    /** Convert one accumulated value (noise drawn from rng). */
-    float convert(float y, Rng& rng) const;
+    /**
+     * Convert n accumulated values in place: gain and offset, thermal
+     * noise, clip to +-range, round to the nearest code (ties away from
+     * zero). Draws exactly one Rng::gaussZiggurat() sample per value, in
+     * order, so the output bits and the stream position afterwards do not
+     * depend on how a row is split into calls. No-op (and no draws) when
+     * ideal.
+     */
+    void convertBlock(float* ys, std::size_t n, Rng& rng) const;
 
-    /** Convert a vector in place. */
-    void
-    convert(std::vector<float>& ys, Rng& rng) const
+    /** Convert one accumulated value (noise drawn from rng). */
+    float
+    convert(float y, Rng& rng) const
     {
-        for (float& y : ys)
-            y = convert(y, rng);
+        convertBlock(&y, 1, rng);
+        return y;
     }
 
     bool isIdeal() const { return ideal_; }
     double range() const { return range_; }
+    float gain() const { return gain_; }
+    float offset() const { return offset_; }
+    float step() const { return step_; }
 
   private:
     AdcConfig config_;

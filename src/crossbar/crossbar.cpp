@@ -247,10 +247,7 @@ CrossbarTile::vmmFast(const Matrix& x, Rng& rng, VmmScratch& scratch) const
     const float inv = 1.0f / x_scale;
     for (std::size_t i = 0; i < x.size(); ++i)
         xn.raw()[i] = x.raw()[i] * inv;
-    if (!dac_->isIdeal()) {
-        for (float& v : xn.raw())
-            v = dac_->convert(v);
-    }
+    dac_->convertBlock(xn.raw().data(), xn.size());
 
     Matrix& y = scratch.y;
     y.resizeUninit(x.rows(), effective_.rows());
@@ -271,10 +268,7 @@ CrossbarTile::vmmFast(const Matrix& x, Rng& rng, VmmScratch& scratch) const
             for (std::size_t o = 0; o < y.cols(); ++o)
                 yrow[o] += colSneak_[o] * mean_abs;
         }
-        if (!adc_->isIdeal()) {
-            for (std::size_t o = 0; o < y.cols(); ++o)
-                yrow[o] = adc_->convert(yrow[o], rng);
-        }
+        adc_->convertBlock(yrow, y.cols(), rng);
     }
 
     for (float& v : y.raw())
@@ -316,10 +310,7 @@ CrossbarTile::vmmFastLanes(const Matrix& x, const BatchLayout& layout,
             dst[i] = src[i] * inv;
         row += layout[l].rows;
     }
-    if (!dac_->isIdeal()) {
-        for (float& v : xn.raw())
-            v = dac_->convert(v);
-    }
+    dac_->convertBlock(xn.raw().data(), xn.size());
 
     Matrix& y = scratch.y;
     y.resizeUninit(x.rows(), effective_.rows());
@@ -343,10 +334,7 @@ CrossbarTile::vmmFastLanes(const Matrix& x, const BatchLayout& layout,
                 for (std::size_t o = 0; o < y.cols(); ++o)
                     yrow[o] += colSneak_[o] * mean_abs;
             }
-            if (!adc_->isIdeal()) {
-                for (std::size_t o = 0; o < y.cols(); ++o)
-                    yrow[o] = adc_->convert(yrow[o], rng);
-            }
+            adc_->convertBlock(yrow, y.cols(), rng);
             for (std::size_t o = 0; o < y.cols(); ++o)
                 yrow[o] *= scales[l];
         }
@@ -365,8 +353,8 @@ CrossbarTile::accumulateAnalog(const Matrix& xn, VmmScratch& scratch) const
     if (!dac_->isIdeal()) {
         Matrix& tmp = scratch.xd;
         tmp.resizeUninit(xn.rows(), xn.cols());
-        for (std::size_t i = 0; i < xn.size(); ++i)
-            tmp.raw()[i] = dac_->convert(xn.raw()[i]);
+        std::copy(xn.raw().begin(), xn.raw().end(), tmp.raw().begin());
+        dac_->convertBlock(tmp.raw().data(), tmp.size());
         xd = &tmp;
     }
     gemmBT(*xd, effective_, scratch.ySum, /*accumulate=*/true);
@@ -429,13 +417,8 @@ CrossbarTile::vmmFastEnsemble(const Matrix& x, Rng& rng,
     y.resizeUninit(x.rows(), effective_.rows());
     for (std::size_t i = 0; i < y.size(); ++i)
         y.raw()[i] = ySum.raw()[i] * inv_k;
-    if (!adc_->isIdeal()) {
-        for (std::size_t t = 0; t < y.rows(); ++t) {
-            float* yrow = y.rowPtr(t);
-            for (std::size_t o = 0; o < y.cols(); ++o)
-                yrow[o] = adc_->convert(yrow[o], rng);
-        }
-    }
+    for (std::size_t t = 0; t < y.rows(); ++t)
+        adc_->convertBlock(y.rowPtr(t), y.cols(), rng);
     for (float& v : y.raw())
         v *= x_scale;
 }
@@ -493,10 +476,7 @@ CrossbarTile::vmmFastLanesEnsemble(
         Rng& rng = *lane_rngs[l];
         for (std::size_t t = row; t < row + layout[l].rows; ++t) {
             float* yrow = y.rowPtr(t);
-            if (!adc_->isIdeal()) {
-                for (std::size_t o = 0; o < y.cols(); ++o)
-                    yrow[o] = adc_->convert(yrow[o], rng);
-            }
+            adc_->convertBlock(yrow, y.cols(), rng);
             for (std::size_t o = 0; o < y.cols(); ++o)
                 yrow[o] *= scales[l];
         }
@@ -519,14 +499,12 @@ CrossbarTile::vmmCircuit(const std::vector<float>& x, Rng& rng) const
     // Per-cell accumulation, one input line at a time — the "current sum"
     // view of the same computation vmmFast() does with a GEMM.
     std::vector<float> voltages(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+        voltages[i] = x[i] / x_scale;
+    dac_->convertBlock(voltages.data(), voltages.size());
     float mean_abs = 0.0f;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        float v = x[i] / x_scale;
-        if (!dac_->isIdeal())
-            v = dac_->convert(v);
-        voltages[i] = v;
+    for (float v : voltages)
         mean_abs += std::fabs(v);
-    }
     mean_abs /= static_cast<float>(x.size());
 
     std::vector<float> currents(ideal_.rows(), 0.0f);
@@ -536,11 +514,11 @@ CrossbarTile::vmmCircuit(const std::vector<float>& x, Rng& rng) const
             acc += static_cast<double>(voltages[i]) * effective_(o, i);
         if (!colSneak_.empty())
             acc += static_cast<double>(colSneak_[o]) * mean_abs;
-        float out = static_cast<float>(acc);
-        if (!adc_->isIdeal())
-            out = adc_->convert(out, rng);
-        currents[o] = out * x_scale;
+        currents[o] = static_cast<float>(acc);
     }
+    adc_->convertBlock(currents.data(), currents.size(), rng);
+    for (float& c : currents)
+        c *= x_scale;
     return currents;
 }
 

@@ -43,6 +43,44 @@ hashSeed(std::initializer_list<std::uint64_t> parts)
 }
 
 /**
+ * Layer tables of the 128-layer standard-normal ziggurat (Marsaglia &
+ * Tsang 2000, in Doornik's 2005 ZIGNOR form). Layer 0 is the base strip
+ * plus the tail beyond kR; layers 1..127 are rectangles of equal area kV
+ * under exp(-x^2/2), with right edges x[1] = kR > x[2] > ... > x[128] = 0.
+ */
+struct ZigguratTables
+{
+    static constexpr int kLayers = 128;
+    static constexpr double kR = 3.442619855899;     ///< start of the tail
+    static constexpr double kV = 9.91256303526217e-3; ///< area per layer
+
+    double x[kLayers + 1];  ///< layer right edges; x[0] = kV / f(kR)
+    double ratio[kLayers];  ///< x[i + 1] / x[i]: inner-rectangle bound
+
+    ZigguratTables()
+    {
+        double f = std::exp(-0.5 * kR * kR);
+        x[0] = kV / f;
+        x[1] = kR;
+        x[kLayers] = 0.0;
+        for (int i = 2; i < kLayers; ++i) {
+            x[i] = std::sqrt(-2.0 * std::log(kV / x[i - 1] + f));
+            f = std::exp(-0.5 * x[i] * x[i]);
+        }
+        for (int i = 0; i < kLayers; ++i)
+            ratio[i] = x[i + 1] / x[i];
+    }
+};
+
+/** The shared ziggurat tables, built once on first use. */
+inline const ZigguratTables&
+zigguratTables()
+{
+    static const ZigguratTables tables;
+    return tables;
+}
+
+/**
  * Seedable xoshiro256** random number generator with the distributions the
  * framework needs (uniform, Gaussian, lognormal, integer ranges, shuffles).
  *
@@ -151,6 +189,38 @@ class Rng
         return r * std::cos(theta);
     }
 
+    /**
+     * Standard normal by the ziggurat method. One 64-bit draw picks the
+     * layer (low 7 bits) and a signed uniform (high 53 bits); about 97%
+     * of samples return from the inner-rectangle test with no further
+     * draws. Keeps no cache, so a sequence of samples depends only on the
+     * stream, never on how the calls are grouped.
+     */
+    double
+    gaussZiggurat()
+    {
+        const ZigguratTables& t = zigguratTables();
+        for (;;) {
+            const std::uint64_t bits = operator()();
+            const std::size_t i = bits & (ZigguratTables::kLayers - 1);
+            const double u =
+                static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
+            if (std::fabs(u) < t.ratio[i])
+                return u * t.x[i];
+            if (i == 0)
+                return gaussZigguratTail(u < 0.0);
+            // Wedge: accept x when a uniform height in the layer's band
+            // [f(x[i]), f(x[i+1])] falls under f(x); both sides are
+            // divided by f(x).
+            const double x = u * t.x[i];
+            const double f0 = std::exp(-0.5 * (t.x[i] * t.x[i] - x * x));
+            const double f1 =
+                std::exp(-0.5 * (t.x[i + 1] * t.x[i + 1] - x * x));
+            if (f0 + (f1 - f0) * uniform() < 1.0)
+                return x;
+        }
+    }
+
     /** Normal with given mean and standard deviation. */
     double
     gauss(double mean, double stddev)
@@ -195,6 +265,21 @@ class Rng
     rotl(std::uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
+    }
+
+    /** Marsaglia's exact sampler of the normal tail beyond kR. */
+    double
+    gaussZigguratTail(bool negative)
+    {
+        constexpr double r = ZigguratTables::kR;
+        double x = 0.0;
+        double y = 0.0;
+        do {
+            // 1 - uniform() lies in (0, 1], so the logs stay finite.
+            x = -std::log(1.0 - uniform()) / r;
+            y = -std::log(1.0 - uniform());
+        } while (y + y < x * x);
+        return negative ? -(r + x) : r + x;
     }
 
     std::uint64_t state_[4] = {};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -146,11 +147,18 @@ defaultPoolThreads()
     return runtimeConfig().poolThreads();
 }
 
-std::unique_ptr<ThreadPool>&
+/** The global pool and the mutex that guards its creation and resizing. */
+struct GlobalPoolSlot
+{
+    std::mutex mu;
+    std::unique_ptr<ThreadPool> pool;
+};
+
+GlobalPoolSlot&
 globalPoolSlot()
 {
-    static std::unique_ptr<ThreadPool> pool;
-    return pool;
+    static GlobalPoolSlot slot;
+    return slot;
 }
 
 } // namespace
@@ -158,18 +166,21 @@ globalPoolSlot()
 ThreadPool&
 globalPool()
 {
+    // Daemon workers make their first call concurrently.
     auto& slot = globalPoolSlot();
-    if (!slot)
-        slot = std::make_unique<ThreadPool>(defaultPoolThreads());
-    return *slot;
+    const std::lock_guard<std::mutex> lock(slot.mu);
+    if (!slot.pool)
+        slot.pool = std::make_unique<ThreadPool>(defaultPoolThreads());
+    return *slot.pool;
 }
 
 void
 setGlobalPoolThreads(std::size_t threads)
 {
     auto& slot = globalPoolSlot();
-    slot.reset(); // join old workers before spawning the new pool
-    slot = std::make_unique<ThreadPool>(threads);
+    const std::lock_guard<std::mutex> lock(slot.mu);
+    slot.pool.reset(); // join old workers before spawning the new pool
+    slot.pool = std::make_unique<ThreadPool>(threads);
 }
 
 } // namespace swordfish

@@ -1,5 +1,11 @@
 /** @file Tests for conductance mapping, DAC/ADC models and crossbar tiles. */
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "crossbar/crossbar.h"
@@ -143,6 +149,213 @@ TEST(AdcModel, QuantizationErrorBounded)
     const float step = 2.0f / 63.0f;
     for (float y = -0.99f; y < 0.99f; y += 0.013f)
         EXPECT_NEAR(adc.convert(y, rng), y, step * 0.51f);
+}
+
+namespace {
+
+/**
+ * The per-element DAC formula the block kernel replaced, written out with
+ * std::lround. The Release build (-march=native, GCC's default
+ * -ffp-contract=fast) fused `-1.0f + code * step` into an FMA, so the
+ * reference spells that FMA out.
+ */
+float
+lroundDac(const DacModel& dac, float x)
+{
+    const float step = dac.step();
+    const float clipped = std::clamp(x, -1.0f, 1.0f);
+    long code = std::lround((clipped + 1.0f) / step);
+    code = std::clamp<long>(code, 0,
+                            static_cast<long>(dac.inl().size()) - 1);
+    float v = std::fmaf(static_cast<float>(code), step, -1.0f);
+    v += dac.inl()[static_cast<std::size_t>(code)];
+    v *= dac.droopFactor();
+    return v;
+}
+
+/** The per-element noiseless ADC formula, FMAs spelled out likewise. */
+float
+lroundAdc(const AdcModel& adc, int bits, float y)
+{
+    const float step = adc.step();
+    const auto range = static_cast<float>(adc.range());
+    // With noiseSigmaLsb = 0 the old noise term added +0.
+    float v = std::fmaf(y, adc.gain(), adc.offset());
+    v = std::clamp(v, -range, range);
+    long code = std::lround((v + range) / step);
+    code = std::clamp<long>(code, 0, (1L << bits) - 1);
+    return std::fmaf(static_cast<float>(code), step, -range);
+}
+
+/** True when q lies exactly half-way between two codes. */
+bool
+isTie(float q)
+{
+    return q - std::floor(q) == 0.5f;
+}
+
+/** `center` and its 8 float neighbours on either side. */
+void
+appendNeighbours(std::vector<float>& xs, float center)
+{
+    float lo = center;
+    float hi = center;
+    xs.push_back(center);
+    for (int k = 0; k < 8; ++k) {
+        lo = std::nextafter(lo, -std::numeric_limits<float>::infinity());
+        hi = std::nextafter(hi, std::numeric_limits<float>::infinity());
+        xs.push_back(lo);
+        xs.push_back(hi);
+    }
+}
+
+/** Inputs beyond the rails, shared by the DAC and ADC sweeps. */
+const std::vector<float> kOutOfRange = {
+    -std::numeric_limits<float>::infinity(), -1.0e6f, -100.0f, -1.5f,
+    1.5f, 100.0f, 1.0e6f, std::numeric_limits<float>::infinity()};
+
+} // namespace
+
+TEST(ConverterBlock, DacBitwiseEqualsLroundFormula)
+{
+    for (int bits : {3, 5, 8}) {
+        DacConfig cfg;
+        cfg.bits = bits;
+        const DacModel dac(cfg, 31 + static_cast<std::uint64_t>(bits), 0.7);
+        const float step = dac.step();
+        const long codes = 1L << bits;
+        // Every code centre and every half-way point, with their float
+        // neighbours, the rails and their neighbours, and out-of-range
+        // inputs.
+        std::vector<float> xs;
+        for (long c = 0; c < codes; ++c) {
+            appendNeighbours(xs, std::fmaf(static_cast<float>(c), step,
+                                           -1.0f));
+            appendNeighbours(xs, std::fmaf(static_cast<float>(c) + 0.5f,
+                                           step, -1.0f));
+        }
+        appendNeighbours(xs, -1.0f);
+        appendNeighbours(xs, 1.0f);
+        xs.insert(xs.end(), kOutOfRange.begin(), kOutOfRange.end());
+
+        std::vector<float> block = xs;
+        dac.convertBlock(block.data(), block.size());
+        std::size_t ties = 0;
+        std::set<float> outputs;
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            const float clipped = std::clamp(xs[i], -1.0f, 1.0f);
+            ties += isTie((clipped + 1.0f) / step) ? 1 : 0;
+            const float expect = lroundDac(dac, xs[i]);
+            outputs.insert(expect);
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(block[i]),
+                      std::bit_cast<std::uint32_t>(expect))
+                << "bits=" << bits << " x=" << xs[i];
+        }
+        EXPECT_GT(ties, 0u) << "bits=" << bits;
+        EXPECT_EQ(outputs.size(), static_cast<std::size_t>(codes));
+    }
+}
+
+TEST(ConverterBlock, NoiselessAdcBitwiseEqualsLroundFormula)
+{
+    for (int bits : {4, 7}) {
+        AdcConfig cfg;
+        cfg.bits = bits;
+        cfg.noiseSigmaLsb = 0.0;
+        const AdcModel adc(cfg, 41 + static_cast<std::uint64_t>(bits), 2.0);
+        const float step = adc.step();
+        const auto range = static_cast<float>(adc.range());
+        const long codes = 1L << bits;
+        // Inputs whose gain/offset image lands on each code centre and
+        // each half-way point, with their float neighbours.
+        auto input_for = [&](float level) {
+            return (level - adc.offset()) / adc.gain();
+        };
+        std::vector<float> ys;
+        for (long c = 0; c < codes; ++c) {
+            const auto fc = static_cast<float>(c);
+            appendNeighbours(ys, input_for(std::fmaf(fc, step, -range)));
+            appendNeighbours(ys,
+                             input_for(std::fmaf(fc + 0.5f, step, -range)));
+        }
+        appendNeighbours(ys, input_for(-range));
+        appendNeighbours(ys, input_for(range));
+        ys.insert(ys.end(), kOutOfRange.begin(), kOutOfRange.end());
+
+        std::vector<float> block = ys;
+        Rng rng(5);
+        adc.convertBlock(block.data(), block.size(), rng);
+        std::size_t ties = 0;
+        for (std::size_t i = 0; i < ys.size(); ++i) {
+            const float v = std::clamp(
+                std::fmaf(ys[i], adc.gain(), adc.offset()), -range, range);
+            ties += isTie((v + range) / step) ? 1 : 0;
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(block[i]),
+                      std::bit_cast<std::uint32_t>(
+                          lroundAdc(adc, bits, ys[i])))
+                << "bits=" << bits << " y=" << ys[i];
+        }
+        EXPECT_GT(ties, 0u) << "bits=" << bits;
+    }
+}
+
+TEST(ConverterBlock, SplitIndependentBitsAndStream)
+{
+    const AdcModel adc(AdcConfig{}, 51, 3.0);
+    const DacModel dac(DacConfig{}, 52, 0.4);
+    const std::size_t n = 203; // not a multiple of any split or block
+    std::vector<float> input(n);
+    Rng src(53);
+    for (float& v : input)
+        v = static_cast<float>(src.uniform(-3.5, 3.5));
+
+    std::vector<float> adc_whole = input;
+    Rng whole_rng(54);
+    adc.convertBlock(adc_whole.data(), n, whole_rng);
+    const auto next_whole = whole_rng();
+    std::vector<float> dac_whole = input;
+    dac.convertBlock(dac_whole.data(), n);
+
+    for (std::size_t chunk : {1, 7, 64}) {
+        std::vector<float> adc_split = input;
+        std::vector<float> dac_split = input;
+        Rng split_rng(54);
+        for (std::size_t at = 0; at < n; at += chunk) {
+            const std::size_t len = std::min(chunk, n - at);
+            adc.convertBlock(adc_split.data() + at, len, split_rng);
+            dac.convertBlock(dac_split.data() + at, len);
+        }
+        EXPECT_EQ(split_rng(), next_whole) << "chunk=" << chunk;
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(adc_split[i]),
+                      std::bit_cast<std::uint32_t>(adc_whole[i]))
+                << "chunk=" << chunk << " i=" << i;
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(dac_split[i]),
+                      std::bit_cast<std::uint32_t>(dac_whole[i]))
+                << "chunk=" << chunk << " i=" << i;
+        }
+    }
+
+    // The one-element calls are the same kernel on the same stream.
+    Rng single_rng(54);
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(adc.convert(input[i],
+                                                           single_rng)),
+                  std::bit_cast<std::uint32_t>(adc_whole[i]));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(dac.convert(input[i])),
+                  std::bit_cast<std::uint32_t>(dac_whole[i]));
+    }
+    EXPECT_EQ(single_rng(), next_whole);
+}
+
+TEST(ConverterBlock, IdealAdcDrawsNothing)
+{
+    const AdcModel adc(AdcConfig{}, 61, 1.0, /*ideal=*/true);
+    std::vector<float> ys = {0.25f, -3.0f, 7.5f};
+    Rng rng(62), untouched(62);
+    adc.convertBlock(ys.data(), ys.size(), rng);
+    EXPECT_EQ(ys, (std::vector<float>{0.25f, -3.0f, 7.5f}));
+    EXPECT_EQ(rng(), untouched());
 }
 
 TEST(CrossbarTile, AllOffReproducesExactWeights)

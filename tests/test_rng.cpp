@@ -1,7 +1,9 @@
 /** @file Tests for the deterministic RNG. */
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +164,111 @@ TEST(Rng, GaussScaledMoments)
     for (int i = 0; i < n; ++i)
         sum += rng.gauss(5.0, 2.0);
     EXPECT_NEAR(sum / n, 5.0, 0.1);
+}
+
+namespace {
+
+/** Standard normal CDF. */
+double
+phi(double x)
+{
+    return 0.5 * std::erfc(-x / std::sqrt(2.0));
+}
+
+} // namespace
+
+TEST(Ziggurat, TablesBuiltOnceWithEqualLayerAreas)
+{
+    const ZigguratTables& t = zigguratTables();
+    EXPECT_EQ(&t, &zigguratTables());
+    EXPECT_EQ(t.x[1], ZigguratTables::kR);
+    EXPECT_EQ(t.x[ZigguratTables::kLayers], 0.0);
+    auto f = [](double x) { return std::exp(-0.5 * x * x); };
+    // Base strip: kR * f(kR) plus the tail integral, which x[0] * f(kR)
+    // stands for.
+    EXPECT_NEAR(t.x[0] * f(ZigguratTables::kR), ZigguratTables::kV, 1e-15);
+    for (int i = 1; i < ZigguratTables::kLayers; ++i) {
+        EXPECT_LT(t.x[i + 1], t.x[i]);
+        EXPECT_NEAR(t.x[i] * (f(t.x[i + 1]) - f(t.x[i])),
+                    ZigguratTables::kV, 1e-9)
+            << "layer " << i;
+    }
+}
+
+TEST(Ziggurat, MomentsWithinSamplingError)
+{
+    Rng rng(2024);
+    const int n = 1000000;
+    double s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0;
+    long tail = 0;
+    for (int i = 0; i < n; ++i) {
+        const double z = rng.gaussZiggurat();
+        const double z2 = z * z;
+        s1 += z;
+        s2 += z2;
+        s3 += z2 * z;
+        s4 += z2 * z2;
+        tail += std::fabs(z) > ZigguratTables::kR ? 1 : 0;
+    }
+    const double dn = n;
+    const double mean = s1 / dn;
+    const double var = s2 / dn - mean * mean;
+    const double m3 = s3 / dn - 3.0 * mean * s2 / dn + 2.0 * mean * mean * mean;
+    const double m4 = s4 / dn - 4.0 * mean * s3 / dn
+        + 6.0 * mean * mean * s2 / dn - 3.0 * mean * mean * mean * mean;
+    const double skew = m3 / std::pow(var, 1.5);
+    const double kurt = m4 / (var * var) - 3.0;
+    // Four standard errors of each estimator under N(0, 1).
+    EXPECT_NEAR(mean, 0.0, 4.0 * std::sqrt(1.0 / dn));
+    EXPECT_NEAR(var, 1.0, 4.0 * std::sqrt(2.0 / dn));
+    EXPECT_NEAR(skew, 0.0, 4.0 * std::sqrt(6.0 / dn));
+    EXPECT_NEAR(kurt, 0.0, 4.0 * std::sqrt(24.0 / dn));
+
+    // Mass beyond the ziggurat base comes only from the tail branch:
+    // 2 * Phi(-3.4426), about 5.8e-4.
+    const double p = 2.0 * phi(-ZigguratTables::kR);
+    EXPECT_NEAR(p, 5.8e-4, 0.05e-4);
+    EXPECT_GT(tail, 0);
+    EXPECT_NEAR(static_cast<double>(tail) / dn, p,
+                4.0 * std::sqrt(p * (1.0 - p) / dn));
+}
+
+TEST(Ziggurat, KolmogorovSmirnovAgainstPhi)
+{
+    Rng rng(77);
+    const int n = 100000;
+    std::vector<double> z(n);
+    for (double& v : z)
+        v = rng.gaussZiggurat();
+    std::sort(z.begin(), z.end());
+    double d = 0.0;
+    for (int i = 0; i < n; ++i) {
+        const double f = phi(z[static_cast<std::size_t>(i)]);
+        d = std::max({d, f - static_cast<double>(i) / n,
+                      static_cast<double>(i + 1) / n - f});
+    }
+    // Critical value of D_n at alpha = 0.001: 1.949 / sqrt(n).
+    EXPECT_LT(d, 1.949 / std::sqrt(static_cast<double>(n)));
+}
+
+TEST(Ziggurat, FirstValuesPinned)
+{
+    // Any change to the sampler or to how it consumes the stream moves
+    // these; the ADC noise of every evaluation moves with them.
+    const double expect[16] = {
+        0x1.0908c85d8742p+0,   -0x1.130cc0ee910a2p+0,
+        0x1.40fb6161a281cp+1,  -0x1.8caed5878a221p+0,
+        0x1.4225e89f0fa29p-3,  -0x1.75216f6938cd3p+1,
+        -0x1.4644da280969dp-1, -0x1.867f26523cff1p-2,
+        0x1.dddb7cf97d052p-1,  0x1.7476aa3323d49p-1,
+        0x1.5eb7511ad36e5p-4,  0x1.952ccfe9d093cp-1,
+        0x1.68e319f09052dp-1,  -0x1.75ed5a1309236p+0,
+        0x1.ba7d0bb729835p-2,  -0x1.9c32fd9fcd305p-3,
+    };
+    Rng rng(12345);
+    for (double e : expect)
+        EXPECT_DOUBLE_EQ(rng.gaussZiggurat(), e);
+    EXPECT_EQ(rng(), 0xdbca067ffb2b6f34ULL);
 }
 
 TEST(Rng, LogNormalIsPositive)
