@@ -80,6 +80,28 @@ BM_GemmBT(benchmark::State& state)
 }
 BENCHMARK(BM_GemmBT)->Arg(32)->Arg(64)->Arg(128);
 
+/**
+ * gemmBT at a crossbar tile's VMM shape: m rows of x against an n x k
+ * weight slice (Args = m, k, n).
+ */
+void
+BM_GemmBTTile(benchmark::State& state)
+{
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const auto n = static_cast<std::size_t>(state.range(2));
+    const Matrix x = randomMatrix(m, k, 1);
+    const Matrix w = randomMatrix(n, k, 2);
+    Matrix y;
+    for (auto _ : state) {
+        gemmBT(x, w, y);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations())
+                            * static_cast<std::int64_t>(m * k * n));
+}
+BENCHMARK(BM_GemmBTTile)->Args({8, 32, 64});
+
 void
 BM_CrossbarVmmFast(benchmark::State& state)
 {
@@ -112,7 +134,10 @@ converterInputs(std::size_t n, float half_range, std::uint64_t seed)
     return v;
 }
 
-/** Counter reporting seconds per conversion over n conversions a call. */
+/**
+ * Counter reporting seconds per item (conversion, draw or value), with n
+ * items a call.
+ */
 benchmark::Counter
 perConversion(std::size_t n)
 {
@@ -139,6 +164,46 @@ BM_AdcConvertBlock(benchmark::State& state)
     state.counters["s_per_conv"] = perConversion(n);
 }
 BENCHMARK(BM_AdcConvertBlock)->Arg(64);
+
+/** The ADC's noise sampler alone: one ziggurat fill of Arg values. */
+void
+BM_ZigguratFill(benchmark::State& state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    std::vector<double> z(n);
+    Rng rng(10);
+    for (auto _ : state) {
+        rng.gaussZigguratFill(z.data(), n);
+        benchmark::DoNotOptimize(z.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["s_per_draw"] = perConversion(n);
+}
+BENCHMARK(BM_ZigguratFill)->Arg(64);
+
+/**
+ * Per-lane activation quantization of a stacked batch operand (the
+ * deployment's 16-bit grid): Args = lanes, rows per lane, columns.
+ */
+void
+BM_ActivationQuantRows(benchmark::State& state)
+{
+    const auto lanes = static_cast<std::size_t>(state.range(0));
+    const auto rows = static_cast<std::size_t>(state.range(1));
+    const auto cols = static_cast<std::size_t>(state.range(2));
+    const Quantizer q(16);
+    const Matrix src = randomMatrix(lanes * rows, cols, 13);
+    Matrix m = src;
+    for (auto _ : state) {
+        std::copy(src.raw().begin(), src.raw().end(), m.raw().begin());
+        for (std::size_t l = 0; l < lanes; ++l)
+            q.applyRows(m, l * rows, (l + 1) * rows);
+        benchmark::DoNotOptimize(m.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["s_per_value"] = perConversion(m.size());
+}
+BENCHMARK(BM_ActivationQuantRows)->Args({8, 16, 64});
 
 /** Non-ideal DAC block kernel over one tile input row (Arg = width). */
 void

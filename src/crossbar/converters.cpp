@@ -122,17 +122,17 @@ AdcModel::convertBlock(float* ys, std::size_t n, Rng& rng) const
     const float step = step_;
     const float range = static_cast<float>(range_);
     const float top = static_cast<float>((1L << config_.bits) - 1);
-    float noise[kBlock];
+    double z[kBlock];
     for (std::size_t base = 0; base < n; base += kBlock) {
         const std::size_t m = std::min(kBlock, n - base);
         // Two passes: the sampler's branches stay out of the quantize
         // loop, which the compiler can then vectorize.
-        for (std::size_t i = 0; i < m; ++i)
-            noise[i] = static_cast<float>(sigma * rng.gaussZiggurat());
+        rng.gaussZigguratFill(z, m);
         float* y = ys + base;
         for (std::size_t i = 0; i < m; ++i) {
+            const auto noise = static_cast<float>(sigma * z[i]);
             float v = std::fmaf(y[i], gain, offset);
-            v = std::fmaf(noise[i], step, v);
+            v = std::fmaf(noise, step, v);
             v = std::min(std::max(v, -range), range);
             const std::int32_t code = nearestCode((v + range) / step, top);
             y[i] = std::fmaf(static_cast<float>(code), step, -range);

@@ -10,7 +10,9 @@
  *    0..r-1, then the fixed tree (l0+l4)+(l2+l6) plus (l1+l5)+(l3+l7).
  *    The scalar path executes the lanes one at a time with std::fmaf (the
  *    correctly-rounded scalar twin of vfmadd231ps); the AVX2 path executes
- *    them as one vector register. Same ops, same order, same bits.
+ *    them as one vector register. Same ops, same order, same bits. The
+ *    AVX2 gemm row runs eight outputs at once and reduces them together
+ *    (reduceLanes8): the same tree, elementwise across outputs.
  *  - Transcendentals are shared polynomial approximations built only from
  *    ops whose scalar and vector forms are both correctly rounded (fma,
  *    mul, add, div) plus explicitly emulated instruction semantics for the
@@ -488,6 +490,13 @@ absMaxScalar(const float* v, std::size_t n)
     return mx;
 }
 
+SWORDFISH_NO_AUTOVEC void
+quantizeRangeScalar(float* v, std::size_t n, float scale, float lo, float hi)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = quantizeLevel(v[i], scale, lo, hi);
+}
+
 SWORDFISH_NO_AUTOVEC std::int32_t
 int8DotScalar(const std::int8_t* x, const std::int8_t* w, std::size_t stride)
 {
@@ -582,38 +591,78 @@ dotAvx2(const float* a, const float* b, std::size_t k)
     return dotTailReduce(lane, a, b, k8, k);
 }
 
+/**
+ * Lane reduction of eight outputs at once: acc[j] holds output j's eight
+ * accumulator lanes, with the k-tail already folded in. Returns the eight
+ * sums in output order, each computed as reduceLanes() does, ((l0+l4) +
+ * (l2+l6)) + ((l1+l5) + (l3+l7)) with the same operand order, elementwise
+ * across outputs. Outputs are paired (j, j+4) so that the final adds land
+ * in output order with no closing permute.
+ */
+SWORDFISH_AVX2_TARGET inline __m256
+reduceLanes8(const __m256* acc)
+{
+    // s[j] = [l0+l4, l1+l5, l2+l6, l3+l7] of output j (low half) and of
+    // output j+4 (high half).
+    __m256 s[4];
+    for (int j = 0; j < 4; ++j)
+        s[j] = _mm256_add_ps(
+            _mm256_permute2f128_ps(acc[j], acc[j + 4], 0x20),
+            _mm256_permute2f128_ps(acc[j], acc[j + 4], 0x31));
+    // w01 = [s0+s2, s1+s3] of outputs 0, 1 (low) and 4, 5 (high).
+    const __m256 w01 = _mm256_add_ps(
+        _mm256_shuffle_ps(s[0], s[1], _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm256_shuffle_ps(s[0], s[1], _MM_SHUFFLE(3, 2, 3, 2)));
+    const __m256 w23 = _mm256_add_ps(
+        _mm256_shuffle_ps(s[2], s[3], _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm256_shuffle_ps(s[2], s[3], _MM_SHUFFLE(3, 2, 3, 2)));
+    return _mm256_add_ps(
+        _mm256_shuffle_ps(w01, w23, _MM_SHUFFLE(2, 0, 2, 0)),
+        _mm256_shuffle_ps(w01, w23, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
 SWORDFISH_AVX2_TARGET void
 gemmBTRowAvx2(const float* a, const Matrix& b, float* crow, std::size_t k,
               std::size_t n)
 {
     const std::size_t k8 = k & ~std::size_t{7};
+    const std::size_t r = k - k8;
+    // Lanes 0..r-1 take the k-tail; the masked loads never touch the row
+    // past k.
+    const __m256i tail_mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(r)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256 a_tail = _mm256_maskload_ps(a + k8, tail_mask);
     std::size_t j = 0;
-    // 4 outputs per pass share each load of the A row.
-    for (; j + 4 <= n; j += 4) {
-        const float* b0 = b.rowPtr(j);
-        const float* b1 = b.rowPtr(j + 1);
-        const float* b2 = b.rowPtr(j + 2);
-        const float* b3 = b.rowPtr(j + 3);
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        __m256 acc2 = _mm256_setzero_ps();
-        __m256 acc3 = _mm256_setzero_ps();
+    // 8 outputs per pass share each load of the A row and one reduction.
+    for (; j + 8 <= n; j += 8) {
+        const float* bj[8];
+        __m256 acc[8];
+        for (int o = 0; o < 8; ++o) {
+            bj[o] = b.rowPtr(j + o);
+            acc[o] = _mm256_setzero_ps();
+        }
         for (std::size_t p = 0; p < k8; p += 8) {
             const __m256 va = _mm256_loadu_ps(a + p);
-            acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b0 + p), acc0);
-            acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b1 + p), acc1);
-            acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b2 + p), acc2);
-            acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b3 + p), acc3);
+            for (int o = 0; o < 8; ++o)
+                acc[o] = _mm256_fmadd_ps(va, _mm256_loadu_ps(bj[o] + p),
+                                         acc[o]);
         }
-        alignas(32) float lane[8];
-        _mm256_store_ps(lane, acc0);
-        crow[j] += dotTailReduce(lane, a, b0, k8, k);
-        _mm256_store_ps(lane, acc1);
-        crow[j + 1] += dotTailReduce(lane, a, b1, k8, k);
-        _mm256_store_ps(lane, acc2);
-        crow[j + 2] += dotTailReduce(lane, a, b2, k8, k);
-        _mm256_store_ps(lane, acc3);
-        crow[j + 3] += dotTailReduce(lane, a, b3, k8, k);
+        if (r != 0) {
+            // The scalar tail's fmaf(a[p], b[p], lane[p - k8]) on lanes
+            // 0..r-1; the blend leaves the other lanes exactly as they
+            // were (an fma with zeros could turn -0 into +0).
+            for (int o = 0; o < 8; ++o)
+                acc[o] = _mm256_blendv_ps(
+                    acc[o],
+                    _mm256_fmadd_ps(a_tail,
+                                    _mm256_maskload_ps(bj[o] + k8,
+                                                       tail_mask),
+                                    acc[o]),
+                    _mm256_castsi256_ps(tail_mask));
+        }
+        _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j),
+                                                 reduceLanes8(acc)));
     }
     for (; j < n; ++j)
         crow[j] += dotAvx2(a, b.rowPtr(j), k);
@@ -732,6 +781,25 @@ absMaxAvx2(const float* v, std::size_t n)
     for (std::size_t p = n8; p < n; ++p)
         mx = maxPs(bitsToFloat(floatBits(v[p]) & 0x7fffffffu), mx);
     return mx;
+}
+
+SWORDFISH_AVX2_TARGET void
+quantizeRangeAvx2(float* v, std::size_t n, float scale, float lo, float hi)
+{
+    const __m256 vs = _mm256_set1_ps(scale);
+    const __m256 vlo = _mm256_set1_ps(lo);
+    const __m256 vhi = _mm256_set1_ps(hi);
+    const std::size_t n8 = n & ~std::size_t{7};
+    for (std::size_t p = 0; p < n8; p += 8) {
+        // nearbyint: round in the current mode, no inexact exception.
+        const __m256 q = _mm256_round_ps(
+            _mm256_div_ps(_mm256_loadu_ps(v + p), vs),
+            _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
+        const __m256 c = _mm256_min_ps(_mm256_max_ps(q, vlo), vhi);
+        _mm256_storeu_ps(v + p, _mm256_mul_ps(c, vs));
+    }
+    for (std::size_t p = n8; p < n; ++p)
+        v[p] = quantizeLevel(v[p], scale, lo, hi);
 }
 
 SWORDFISH_AVX2_TARGET std::int32_t
@@ -910,6 +978,18 @@ absMaxRange(const float* v, std::size_t n)
         return absMaxAvx2(v, n);
 #endif
     return absMaxScalar(v, n);
+}
+
+void
+quantizeRange(float* v, std::size_t n, float scale, float lo, float hi)
+{
+#if SWORDFISH_X86
+    if (useAvx2()) {
+        quantizeRangeAvx2(v, n, scale, lo, hi);
+        return;
+    }
+#endif
+    quantizeRangeScalar(v, n, scale, lo, hi);
 }
 
 void

@@ -12,15 +12,17 @@
  * DESIGN.md §4.11 for the contract and dispatch rules.
  *
  * Float kernels: gemmBT (the VMM/projection workhorse), the fused LSTM
- * gate block, CTC row max/argmax, and abs-max scans. Integer kernels: the
- * int8-weight / int16-product / int32-accumulate matmul behind the
- * quantized inference path — integer arithmetic is exact, so that kernel
- * is bitwise-identical across levels for free.
+ * gate block, CTC row max/argmax, abs-max scans and the quantizer's grid
+ * snap. Integer kernels: the int8-weight / int16-product / int32-
+ * accumulate matmul behind the quantized inference path — integer
+ * arithmetic is exact, so that kernel is bitwise-identical across levels
+ * for free.
  */
 
 #ifndef SWORDFISH_TENSOR_KERNELS_H
 #define SWORDFISH_TENSOR_KERNELS_H
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -80,6 +82,27 @@ float rowMax(const float* row, std::size_t n);
 
 /** max |v[i]| over [0, n) (blocked; NaN entries are skipped; 0 for n=0). */
 float absMaxRange(const float* v, std::size_t n);
+
+/**
+ * One value on the symmetric quantization grid: nearbyint(v / scale)
+ * clamped to [lo, hi], times scale. The clamp is two compare-selects, the
+ * scalar form of vmaxps(q, lo) and vminps(a, hi): a NaN q falls to lo, as
+ * fmin(fmax(q, lo), hi) does, and since lo < 0 < hi every other value
+ * (±0 and ±Inf included) clamps as fmin/fmax would.
+ */
+inline float
+quantizeLevel(float v, float scale, float lo, float hi)
+{
+    const float q = std::nearbyint(v / scale);
+    const float a = q > lo ? q : lo;
+    return (a < hi ? a : hi) * scale;
+}
+
+/**
+ * quantizeLevel over v[0..n) in place: the activation quantizer's loop.
+ * Both levels round in the current rounding mode, as std::nearbyint does.
+ */
+void quantizeRange(float* v, std::size_t n, float scale, float lo, float hi);
 
 /**
  * Integer matmul of the quantized inference path: for each of `rows` rows

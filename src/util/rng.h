@@ -13,6 +13,7 @@
 #define SWORDFISH_UTIL_RNG_H
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -118,15 +119,7 @@ class Rng
     result_type
     operator()()
     {
-        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-        const std::uint64_t t = state_[1] << 17;
-        state_[2] ^= state_[0];
-        state_[3] ^= state_[1];
-        state_[1] ^= state_[2];
-        state_[0] ^= state_[3];
-        state_[2] ^= t;
-        state_[3] = rotl(state_[3], 45);
-        return result;
+        return step(state_[0], state_[1], state_[2], state_[3]);
     }
 
     /** Uniform double in [0, 1). */
@@ -199,26 +192,34 @@ class Rng
     double
     gaussZiggurat()
     {
+        double z = 0.0;
+        gaussZigguratFill(&z, 1);
+        return z;
+    }
+
+    /**
+     * n ziggurat samples into out: bitwise the values, and the stream
+     * position after, of n gaussZiggurat() calls. The generator state
+     * lives in locals while the inner-rectangle test accepts; a rejected
+     * draw writes it back and finishes the sample out of line, so the
+     * wedge's and tail's libm calls do not force the state through memory
+     * on every draw.
+     */
+    void
+    gaussZigguratFill(double* out, std::size_t n)
+    {
         const ZigguratTables& t = zigguratTables();
-        for (;;) {
-            const std::uint64_t bits = operator()();
-            const std::size_t i = bits & (ZigguratTables::kLayers - 1);
-            const double u =
-                static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
-            if (std::fabs(u) < t.ratio[i])
-                return u * t.x[i];
-            if (i == 0)
-                return gaussZigguratTail(u < 0.0);
-            // Wedge: accept x when a uniform height in the layer's band
-            // [f(x[i]), f(x[i+1])] falls under f(x); both sides are
-            // divided by f(x).
-            const double x = u * t.x[i];
-            const double f0 = std::exp(-0.5 * (t.x[i] * t.x[i] - x * x));
-            const double f1 =
-                std::exp(-0.5 * (t.x[i + 1] * t.x[i + 1] - x * x));
-            if (f0 + (f1 - f0) * uniform() < 1.0)
-                return x;
+        std::uint64_t s0 = state_[0], s1 = state_[1];
+        std::uint64_t s2 = state_[2], s3 = state_[3];
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::uint64_t bits = step(s0, s1, s2, s3);
+            if (zigguratInner(t, bits, out[k]))
+                continue;
+            state_[0] = s0, state_[1] = s1, state_[2] = s2, state_[3] = s3;
+            out[k] = gaussZigguratReject(bits);
+            s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
         }
+        state_[0] = s0, state_[1] = s1, state_[2] = s2, state_[3] = s3;
     }
 
     /** Normal with given mean and standard deviation. */
@@ -265,6 +266,79 @@ class Rng
     rotl(std::uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
+    }
+
+    /** One xoshiro256** step on the state words s0..s3. */
+    static std::uint64_t
+    step(std::uint64_t& s0, std::uint64_t& s1, std::uint64_t& s2,
+         std::uint64_t& s3)
+    {
+        const std::uint64_t result = rotl(s1 * 5, 7) * 9;
+        const std::uint64_t t = s1 << 17;
+        s2 ^= s0;
+        s3 ^= s1;
+        s1 ^= s2;
+        s0 ^= s3;
+        s2 ^= t;
+        s3 = rotl(s3, 45);
+        return result;
+    }
+
+    /** Layer index (low 7 bits) of a ziggurat draw. */
+    static std::size_t
+    zigguratLayer(std::uint64_t bits)
+    {
+        return bits & (ZigguratTables::kLayers - 1);
+    }
+
+    /** Signed uniform in [-1, 1) from a draw's high 53 bits. */
+    static double
+    zigguratUniform(std::uint64_t bits)
+    {
+        return static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
+    }
+
+    /**
+     * The inner-rectangle test of a draw: stores u * x[i] in z and returns
+     * true when that is the sample, with no further draws.
+     */
+    static bool
+    zigguratInner(const ZigguratTables& t, std::uint64_t bits, double& z)
+    {
+        const std::size_t i = zigguratLayer(bits);
+        const double u = zigguratUniform(bits);
+        z = u * t.x[i];
+        return std::fabs(u) < t.ratio[i];
+    }
+
+    /**
+     * Finish a ziggurat sample whose draw `bits` failed the inner-rectangle
+     * test: the tail for layer 0, else the wedge test, and on a wedge
+     * rejection fresh draws until one is accepted.
+     */
+    [[gnu::noinline]] double
+    gaussZigguratReject(std::uint64_t bits)
+    {
+        const ZigguratTables& t = zigguratTables();
+        for (;;) {
+            const std::size_t i = zigguratLayer(bits);
+            const double u = zigguratUniform(bits);
+            if (i == 0)
+                return gaussZigguratTail(u < 0.0);
+            // Wedge: accept x when a uniform height in the layer's band
+            // [f(x[i]), f(x[i+1])] falls under f(x); both sides are
+            // divided by f(x).
+            const double x = u * t.x[i];
+            const double f0 = std::exp(-0.5 * (t.x[i] * t.x[i] - x * x));
+            const double f1 =
+                std::exp(-0.5 * (t.x[i + 1] * t.x[i + 1] - x * x));
+            if (f0 + (f1 - f0) * uniform() < 1.0)
+                return x;
+            bits = operator()();
+            double z = 0.0;
+            if (zigguratInner(t, bits, z))
+                return z;
+        }
     }
 
     /** Marsaglia's exact sampler of the normal tail beyond kR. */

@@ -3,6 +3,9 @@
  *  non-ideal evaluation -> mitigation), checking the relationships the
  *  framework exists to measure. */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "basecall/basecaller.h"
@@ -159,16 +162,32 @@ TEST(Integration, ErrorAwareRemapBeatsRandomRemap)
 TEST(Integration, PipelineRunsAndBasecallingDominates)
 {
     World& w = World::get();
-    const auto report = runPipeline(
-        w.model, EvalOptions(w.dataset).maxReads(3));
-    ASSERT_EQ(report.stages.size(), 3u);
-    EXPECT_GT(report.totalSeconds, 0.0);
-    double fraction_sum = 0.0;
-    for (const auto& s : report.stages)
-        fraction_sum += s.fractionOfTotal;
-    EXPECT_NEAR(fraction_sum, 1.0, 1e-9);
+    // Each stage takes ~10 ms here, so one run's wall-clock split moves
+    // with whatever else the machine schedules in that window. The claim
+    // is about the stages' cost, so take each stage's median over
+    // repeated runs on the same inputs.
+    constexpr std::size_t kRuns = 9;
+    std::vector<double> seconds[3];
+    PipelineReport report;
+    for (std::size_t r = 0; r < kRuns; ++r) {
+        report = runPipeline(w.model, EvalOptions(w.dataset).maxReads(3));
+        ASSERT_EQ(report.stages.size(), 3u);
+        EXPECT_GT(report.totalSeconds, 0.0);
+        double fraction_sum = 0.0;
+        for (std::size_t s = 0; s < 3; ++s) {
+            fraction_sum += report.stages[s].fractionOfTotal;
+            seconds[s].push_back(report.stages[s].seconds);
+        }
+        EXPECT_NEAR(fraction_sum, 1.0, 1e-9);
+    }
+    double median[3];
+    for (std::size_t s = 0; s < 3; ++s) {
+        std::nth_element(seconds[s].begin(), seconds[s].begin() + kRuns / 2,
+                         seconds[s].end());
+        median[s] = seconds[s][kRuns / 2];
+    }
     // The paper's Fig. 1 observation, reproduced in miniature.
-    EXPECT_GT(report.stages[0].fractionOfTotal, 0.40);
+    EXPECT_GT(median[0] / (median[0] + median[1] + median[2]), 0.40);
     // Seed-and-extend mapping needs exact 13-mers, which a briefly
     // trained ~75%-accuracy fixture almost never produces; only check
     // the mapped fraction when the basecaller is strong enough for the

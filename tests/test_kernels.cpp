@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -150,27 +151,37 @@ TEST(KernelGemmBT, ScalarAndAvx2AreBitwiseIdentical)
 {
     if (!cpuSupportsAvx2())
         GTEST_SKIP() << "host lacks AVX2";
-    // Ragged inner dims and output widths exercise the 4-column blocking,
-    // its tail, and the reduction tail together.
-    for (const auto& [m, k, n] :
-         {std::tuple<std::size_t, std::size_t, std::size_t>{3, 17, 9},
-          {5, 32, 4}, {1, 7, 11}, {8, 65, 13}}) {
-        const Matrix a = randomMatrix(m, k, 31, 1.0);
-        const Matrix b = randomMatrix(n, k, 32, 1.0);
-        Matrix y_scalar, y_avx2;
-        {
-            const ScopedSimdLevel scoped(SimdLevel::Scalar);
-            kernels::gemmBT(a, b, y_scalar, false);
+    using Shape = std::tuple<std::size_t, std::size_t, std::size_t>;
+    // Ragged inner dims and output widths exercise the 8-output blocking,
+    // its remainder, and the reduction tail together; the cross product
+    // adds the crossbar tiles' VMM shapes.
+    std::vector<Shape> shapes = {{3, 17, 9}, {5, 32, 4}, {1, 7, 11},
+                                 {8, 65, 13}};
+    for (const std::size_t m : {1u, 8u, 13u})
+        for (const std::size_t k : {7u, 32u, 64u, 65u})
+            for (const std::size_t n : {8u, 16u, 64u, 67u})
+                shapes.emplace_back(m, k, n);
+    for (const auto& [m, k, n] : shapes) {
+        const Matrix a = randomMatrix(m, k, 31 + k, 1.0);
+        const Matrix b = randomMatrix(n, k, 32 + n, 1.0);
+        const Matrix base = randomMatrix(m, n, 33 + m, 1.0);
+        for (const bool accumulate : {false, true}) {
+            Matrix y_scalar = base, y_avx2 = base;
+            {
+                const ScopedSimdLevel scoped(SimdLevel::Scalar);
+                kernels::gemmBT(a, b, y_scalar, accumulate);
+            }
+            {
+                const ScopedSimdLevel scoped(SimdLevel::Avx2);
+                kernels::gemmBT(a, b, y_avx2, accumulate);
+            }
+            ASSERT_EQ(y_scalar.rows(), m);
+            ASSERT_EQ(y_scalar.cols(), n);
+            for (std::size_t i = 0; i < y_scalar.size(); ++i)
+                ASSERT_TRUE(sameBits(y_scalar.raw()[i], y_avx2.raw()[i]))
+                    << "m=" << m << " k=" << k << " n=" << n
+                    << " accumulate=" << accumulate << " i=" << i;
         }
-        {
-            const ScopedSimdLevel scoped(SimdLevel::Avx2);
-            kernels::gemmBT(a, b, y_avx2, false);
-        }
-        ASSERT_EQ(y_scalar.rows(), m);
-        ASSERT_EQ(y_scalar.cols(), n);
-        for (std::size_t i = 0; i < y_scalar.size(); ++i)
-            ASSERT_TRUE(sameBits(y_scalar.raw()[i], y_avx2.raw()[i]))
-                << "m=" << m << " k=" << k << " n=" << n << " i=" << i;
     }
 }
 

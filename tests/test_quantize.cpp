@@ -1,10 +1,15 @@
 /** @file Tests for the simulated fixed-point quantizer. */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tensor/quantize.h"
+#include "tensor/simd.h"
 #include "test_util.h"
 
 using namespace swordfish;
@@ -19,6 +24,119 @@ TEST(Quantizer, ThirtyTwoBitsIsIdentity)
     q.apply(m);
     for (std::size_t i = 0; i < m.size(); ++i)
         EXPECT_EQ(m.raw()[i], orig.raw()[i]);
+}
+
+namespace {
+
+/** The quantizer's reference formula: fmax/fmin clamp, nearbyint. */
+float
+referenceApply(float v, float scale, float max_level)
+{
+    if (scale <= 0.0f)
+        return v;
+    const float q = std::nearbyint(v / scale);
+    return std::fmin(std::fmax(q, -max_level - 1.0f), max_level) * scale;
+}
+
+/** Reference per-range quantization: std::max absmax scan, then apply. */
+void
+referenceApplyRange(float* v, std::size_t n, int bits)
+{
+    const auto max_level = static_cast<float>((1u << (bits - 1)) - 1);
+    float abs_max = 0.0f;
+    for (std::size_t i = 0; i < n; ++i)
+        abs_max = std::max(abs_max, std::fabs(v[i]));
+    const float scale = abs_max <= 0.0f ? 0.0f : abs_max / max_level;
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = referenceApply(v[i], scale, max_level);
+}
+
+bool
+sameBits(float a, float b)
+{
+    std::uint32_t ua, ub;
+    std::memcpy(&ua, &a, 4);
+    std::memcpy(&ub, &b, 4);
+    return ua == ub;
+}
+
+} // namespace
+
+TEST(Quantizer, MatchesReferenceFormulaBitwiseOnEdgeValues)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+    for (const int bits : {2, 4, 8, 16}) {
+        const auto max_level = static_cast<float>((1u << (bits - 1)) - 1);
+        // Lane 0: absmax max_level / 4, so the scale is exactly 0.25 and
+        // (k + 0.5) / 4 are exact rounding ties; also NaN and -0. Lane 1:
+        // ±Inf (infinite scale). Lane 2: zeros only (scale 0, untouched).
+        // 13 columns leave a scalar remainder after the 8-wide blocks.
+        const std::size_t rows = 3, cols = 13;
+        Matrix m(3 * rows, cols);
+        Rng rng(static_cast<std::uint64_t>(bits));
+        for (float& v : m.raw())
+            v = static_cast<float>(rng.uniform(-1.0, 1.0)) * max_level
+                / 8.0f;
+        const float lane0[] = {max_level / 4.0f, 0.125f, -0.125f, 0.375f,
+                               -0.625f, 1.125f, kNan, -0.0f, 0.0f,
+                               -max_level / 4.0f};
+        std::copy(std::begin(lane0), std::end(lane0), m.rowPtr(0));
+        m.at(rows, 0) = kInf;
+        m.at(rows + 1, 5) = -kInf;
+        m.at(rows + 2, 12) = kNan;
+        for (std::size_t r = 2 * rows; r < 3 * rows; ++r)
+            for (std::size_t c = 0; c < cols; ++c)
+                m.at(r, c) = (c % 2 == 0) ? -0.0f : 0.0f;
+
+        Matrix want = m;
+        for (std::size_t l = 0; l < 3; ++l)
+            referenceApplyRange(want.rowPtr(l * rows), rows * cols, bits);
+        Matrix want_whole = m;
+        referenceApplyRange(want_whole.raw().data(), m.size(), bits);
+        Matrix finite = m;
+        for (std::size_t c = 0; c < cols; ++c)
+            for (std::size_t r = rows; r < 2 * rows; ++r)
+                if (std::isinf(finite.at(r, c)))
+                    finite.at(r, c) = 0.5f;
+        Matrix want_finite = finite;
+        referenceApplyRange(want_finite.raw().data(), finite.size(), bits);
+
+        const Quantizer q(bits);
+        std::vector<SimdLevel> levels = {SimdLevel::Scalar};
+        if (cpuSupportsAvx2())
+            levels.push_back(SimdLevel::Avx2);
+        for (const SimdLevel level : levels) {
+            const ScopedSimdLevel scoped(level);
+            Matrix got = m;
+            for (std::size_t l = 0; l < 3; ++l)
+                q.applyRows(got, l * rows, (l + 1) * rows);
+            Matrix got_whole = m;
+            q.apply(got_whole);
+            Matrix got_finite = finite;
+            q.apply(got_finite);
+            for (std::size_t i = 0; i < m.size(); ++i) {
+                ASSERT_TRUE(sameBits(got.raw()[i], want.raw()[i]))
+                    << "applyRows bits=" << bits << " level="
+                    << simdLevelName(level) << " i=" << i;
+                ASSERT_TRUE(sameBits(got_whole.raw()[i],
+                                     want_whole.raw()[i]))
+                    << "apply bits=" << bits << " i=" << i;
+                ASSERT_TRUE(sameBits(got_finite.raw()[i],
+                                     want_finite.raw()[i]))
+                    << "apply (finite) bits=" << bits << " i=" << i;
+            }
+        }
+
+        // Values past the top and bottom levels at a fixed scale.
+        for (const float v : {3.0f * max_level, -3.0f * max_level,
+                              max_level + 0.5f, -max_level - 1.5f, kInf,
+                              -kInf, kNan, -0.0f, 2.5f, -2.5f}) {
+            EXPECT_TRUE(sameBits(q.apply(v, 1.0f),
+                                 referenceApply(v, 1.0f, max_level)))
+                << "bits=" << bits << " v=" << v;
+        }
+    }
 }
 
 TEST(Quantizer, RejectsSillyWidths)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -269,6 +270,52 @@ TEST(Ziggurat, FirstValuesPinned)
     for (double e : expect)
         EXPECT_DOUBLE_EQ(rng.gaussZiggurat(), e);
     EXPECT_EQ(rng(), 0xdbca067ffb2b6f34ULL);
+}
+
+TEST(Ziggurat, FillMatchesCalls)
+{
+    auto bits = [](double v) {
+        std::uint64_t b;
+        std::memcpy(&b, &v, sizeof(b));
+        return b;
+    };
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                                std::size_t{64}}) {
+        Rng filled(900 + n), called(900 + n);
+        std::vector<double> z(n);
+        filled.gaussZigguratFill(z.data(), n);
+        for (std::size_t k = 0; k < n; ++k)
+            EXPECT_EQ(bits(z[k]), bits(called.gaussZiggurat()))
+                << "n=" << n << " k=" << k;
+        EXPECT_EQ(filled(), called()) << "n=" << n;
+    }
+
+    // Over 2^20 draws in fills of 64, as the ADC takes them: every sample
+    // and the final stream position agree, and both slow branches ran. A
+    // sample takes the wedge or the tail exactly when its first draw fails
+    // the inner-rectangle test, in layer >= 1 or layer 0.
+    const ZigguratTables& t = zigguratTables();
+    Rng filled(31337), called(31337);
+    std::vector<double> z(64);
+    long wedge = 0, tail = 0;
+    for (std::size_t done = 0; done < (std::size_t{1} << 20); done += 64) {
+        filled.gaussZigguratFill(z.data(), z.size());
+        for (std::size_t k = 0; k < z.size(); ++k) {
+            Rng probe = called;
+            const std::uint64_t first = probe();
+            const std::size_t layer =
+                first & (ZigguratTables::kLayers - 1);
+            const double u =
+                static_cast<double>(first >> 11) * 0x1.0p-52 - 1.0;
+            if (!(std::fabs(u) < t.ratio[layer]))
+                ++(layer == 0 ? tail : wedge);
+            ASSERT_EQ(bits(z[k]), bits(called.gaussZiggurat()))
+                << "sample " << done + k;
+        }
+    }
+    EXPECT_EQ(filled(), called());
+    EXPECT_GT(wedge, 0);
+    EXPECT_GT(tail, 0);
 }
 
 TEST(Rng, LogNormalIsPositive)
